@@ -47,7 +47,9 @@ type Config struct {
 	// backend by modeled cost, and a registered name ("accelerator",
 	// "tabla", "cpu", "sharded", "weave") is an explicit override.
 	// Unknown names fail typed with backend.ErrUnknownBackend at Train
-	// time.
+	// time. "auto" compares the backends' pre-run estimates; a result's
+	// SimulatedSeconds is priced afterwards by the backend that ran,
+	// from the run it executed.
 	Backend string
 	// Precision is the MLWeaving any-precision read width in bits per
 	// feature. 0 (the default) and 32 keep the full-width float path —
@@ -78,9 +80,6 @@ type Config struct {
 	// groups with one record arena per channel. Per-channel traffic
 	// appears as obs counters channel.<i>.* (see `danactl stats`).
 	Channels int
-	// PipelineDepth bounds in-flight extracted page batches per worker
-	// (0 = default).
-	PipelineDepth int
 	// NoExtractCache disables the cross-epoch extracted-record cache,
 	// forcing every epoch to re-walk the heap through the Striders.
 	NoExtractCache bool
@@ -98,7 +97,7 @@ type Config struct {
 	Faults *fault.Injector
 	// EpochTimeout bounds each training epoch's wall-clock time (0 = no
 	// bound). An expired epoch surfaces fault.ErrEpochTimeout and, unless
-	// DisableCPUFallback is set, degrades the run to the CPU path.
+	// DisableCPUFallback is set, fails the run over to the CPU backend.
 	EpochTimeout time.Duration
 	// MaxPageRetries bounds same-Strider re-walks after a VM trap before
 	// the worker is quarantined (0 = default 3, negative = none).
@@ -108,7 +107,8 @@ type Config struct {
 	MaxReadRetries int
 	// DisableCPUFallback turns off graceful degradation: accelerator
 	// faults that survive retry and quarantine surface as typed errors
-	// instead of completing the run on the golden CPU trainer.
+	// instead of completing the remaining epochs on the golden CPU
+	// trainer (the run is still priced by the backend that faulted).
 	DisableCPUFallback bool
 	// VerifyChecksums forces per-page checksum verification on every
 	// buffer-pool read even without an attached fault schedule (checksums
@@ -149,7 +149,6 @@ func Open(cfg Config) (*Engine, error) {
 	opts.Workers = cfg.Workers
 	opts.Channels = cfg.Channels
 	opts.Cost.Link.Channels = cfg.Channels
-	opts.PipelineDepth = cfg.PipelineDepth
 	opts.NoExtractCache = cfg.NoExtractCache
 	opts.DisableObs = cfg.DisableObs
 	opts.Faults = cfg.Faults

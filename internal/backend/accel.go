@@ -45,19 +45,11 @@ func (b *Accel) Capabilities() Capabilities {
 	}
 }
 
-func (b *Accel) checkJob(job Job) error {
-	if !admissible(b.Capabilities(), job) {
-		return fmt.Errorf("%w: %s cannot run class=%s precision=%q",
-			ErrUnsupported, NameAccelerator, job.Class, job.Precision)
-	}
-	return nil
-}
-
 // EstimateCost prices the job as cost.DAnA: the compiled program's
 // static cycle estimate at the design's thread count, pipelined against
 // Strider unpacking and link transfer.
 func (b *Accel) EstimateCost(job Job) (Cost, error) {
-	if err := b.checkJob(job); err != nil {
+	if err := Admit(b.Capabilities(), job); err != nil {
 		return Cost{}, err
 	}
 	w := job.Workload()
@@ -67,6 +59,36 @@ func (b *Accel) EstimateCost(job Job) (Cost, error) {
 	}
 	bd := cost.DAnA(w, b.env.Cost, job.Warm)
 	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
+}
+
+// PriceRun prices the executed run as the paper's pipeline (§5.1.1):
+// engine, Striders and link transfer overlap at the FPGA clock, so the
+// slowest of the three bounds the run, and disk I/O plus the fixed setup
+// add on top. The link carries the heap pages the run actually
+// streamed, cached replays included, as one interleaved sequence.
+func (b *Accel) PriceRun(job Job, run Run) (float64, error) {
+	if err := Admit(b.Capabilities(), job); err != nil {
+		return 0, err
+	}
+	return b.pipelineSeconds(cost.Workload{
+		DatasetBytes: run.Access.Pages * int64(job.PageSize),
+		Pages:        int(run.Access.Pages),
+	}, run), nil
+}
+
+// pipelineSeconds is the overlapped pipeline time of a run whose link
+// carried transfer (Weave ships its own byte stream). Transfer is
+// charged through the channel model (max-over-channels of the
+// round-robin page shares); the zero-value Cost.Link reproduces the
+// legacy scalar PCIe×scale charge exactly.
+func (b *Accel) pipelineSeconds(transfer cost.Workload, run Run) float64 {
+	clock := b.env.FPGA.ClockHz
+	cp := b.env.Cost
+	if cp.BandwidthScale == 0 {
+		cp.BandwidthScale = 1
+	}
+	pipe := max(float64(b.Counters().Cycles)/clock, float64(run.Access.Cycles)/clock, cost.TransferSec(transfer, cp))
+	return pipe + run.IOSeconds + b.env.Cost.SetupSec
 }
 
 // Configure builds the engine machine for the program, applies the

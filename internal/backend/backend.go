@@ -19,6 +19,7 @@ package backend
 import (
 	"errors"
 
+	"dana/internal/accessengine"
 	"dana/internal/cost"
 	"dana/internal/dsl"
 	"dana/internal/engine"
@@ -221,6 +222,16 @@ type Cost struct {
 	Breakdown cost.Breakdown
 }
 
+// Run is what only the integration layer observed of one executed
+// training run: the access-engine stats of the pages it streamed (zero
+// for runs over materialized rows) and the run's own simulated
+// buffer-pool I/O time. PriceRun combines it with the backend's own
+// counters.
+type Run struct {
+	Access    accessengine.Stats
+	IOSeconds float64
+}
+
 // Program is one prepared training job handed to Configure: the
 // translated hDFG (reference semantics), the compiled engine program
 // and design point (hardware semantics), and the initial model.
@@ -280,6 +291,12 @@ type Backend interface {
 	// EstimateCost prices the job with the internal/cost analytic model;
 	// unsupported jobs fail with ErrUnsupported.
 	EstimateCost(job Job) (Cost, error)
+	// PriceRun returns the modeled seconds of the run this instance just
+	// executed for job. Streaming backends integrate their own counters
+	// with the run's page stream and pool I/O; backends with no modeled
+	// page stream report EstimateCost(job).Seconds. Unsupported jobs fail
+	// with ErrUnsupported.
+	PriceRun(job Job, run Run) (float64, error)
 	// Configure prepares the backend for one training job; unsupported
 	// programs fail with ErrUnsupported.
 	Configure(prog Program) error

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 
+	"dana/internal/accessengine"
 	"dana/internal/algos"
 	"dana/internal/compiler"
 	"dana/internal/cost"
@@ -168,6 +169,7 @@ const (
 	CheckNotConfigured = "not-configured"
 	CheckTrain         = "train"
 	CheckDeterminism   = "counter-determinism"
+	CheckPrice         = "run-price"
 	CheckScore         = "score"
 )
 
@@ -286,6 +288,9 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 	if _, err := be.EstimateCost(unknown); !errors.Is(err, ErrUnsupported) {
 		add(CheckUnsupported, "EstimateCost(class=%s) = %v, want ErrUnsupported", classUnknown, err)
 	}
+	if _, err := be.PriceRun(unknown, Run{}); !errors.Is(err, ErrUnsupported) {
+		add(CheckUnsupported, "PriceRun(class=%s) = %v, want ErrUnsupported", classUnknown, err)
+	}
 	if !caps.Supports(job.Class) {
 		if _, err := be.EstimateCost(job); !errors.Is(err, ErrUnsupported) {
 			add(CheckUnsupported, "EstimateCost(unsupported class %s) = %v, want ErrUnsupported", job.Class, err)
@@ -347,6 +352,10 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 		}
 	}
 
+	if err := checkPrice(reg, env, be, p, sc, job); err != nil {
+		add(CheckPrice, "%v", err)
+	}
+
 	// Score: predictions against the float64 scoring rule, at the
 	// backend's declared equivalence level.
 	preds, err := be.Score(got, sc.Tuples)
@@ -367,6 +376,40 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 		add(CheckScore, "%v", err)
 	}
 	return vs
+}
+
+// checkPrice holds the trained instance be to its PriceRun contract on
+// a fixed run (one heap pass, some pool I/O). A streaming backend prices
+// from its own counters, so a fresh instance trained the same way must
+// quote the run bit for bit — state leaking across runs (a running
+// total, a call count) breaks that. A backend without a modeled page
+// stream must quote its analytic estimate exactly.
+func checkPrice(reg Registration, env Env, be Backend, p Program, sc Scenario, job Job) error {
+	caps := be.Capabilities()
+	if job.Bits == 0 && caps.MaxBits > 0 {
+		job.Bits = caps.MaxBits // dispatch hands a k-bit backend full width as all planes
+	}
+	run := Run{Access: accessengine.Stats{Pages: int64(job.Pages), Cycles: 1000 * int64(job.Pages)}, IOSeconds: 1e-3}
+	got, err := be.PriceRun(job, run)
+	if err != nil || !(got > 0) || math.IsInf(got, 0) {
+		return fmt.Errorf("PriceRun = %v, %v; want a finite positive time", got, err)
+	}
+	want := 0.0
+	if caps.Streaming {
+		be2 := reg.New(env)
+		if err := train(be2, p, sc, primaryStream(caps, sc)); err != nil {
+			return fmt.Errorf("repeat run: %v", err)
+		}
+		want, err = be2.PriceRun(job, run)
+	} else {
+		var c Cost
+		c, err = be.EstimateCost(job)
+		want = c.Seconds
+	}
+	if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+		return fmt.Errorf("PriceRun = %v, want %v, %v (bit-identity required)", got, want, err)
+	}
+	return nil
 }
 
 // compareBits demands float64 bit-identity.

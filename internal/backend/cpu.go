@@ -39,12 +39,18 @@ func (b *CPU) Capabilities() Capabilities {
 // (cost.MADlibPostgres): tuple-at-a-time updates over buffer-pool
 // scans, the closest analytic analogue of the interpreter.
 func (b *CPU) EstimateCost(job Job) (Cost, error) {
-	if !admissible(b.Capabilities(), job) {
-		return Cost{}, fmt.Errorf("%w: %s cannot run class=%s precision=%q",
-			ErrUnsupported, NameCPU, job.Class, job.Precision)
+	if err := Admit(b.Capabilities(), job); err != nil {
+		return Cost{}, err
 	}
 	bd := cost.MADlibPostgres(job.Workload(), b.env.Cost, job.Warm)
 	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
+}
+
+// PriceRun reports the analytic estimate: the interpreter has no
+// modeled page stream to integrate.
+func (b *CPU) PriceRun(job Job, _ Run) (float64, error) {
+	c, err := b.EstimateCost(job)
+	return c.Seconds, err
 }
 
 func (b *CPU) Configure(p Program) error {

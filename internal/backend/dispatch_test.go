@@ -216,6 +216,9 @@ func (f *fakeBackend) Capabilities() backend.Capabilities { return f.caps }
 func (f *fakeBackend) EstimateCost(backend.Job) (backend.Cost, error) {
 	return backend.Cost{Seconds: f.sec}, nil
 }
+func (f *fakeBackend) PriceRun(backend.Job, backend.Run) (float64, error) {
+	return f.sec, nil
+}
 func (f *fakeBackend) Configure(backend.Program) error { return nil }
 func (f *fakeBackend) RunEpoch(*backend.Stream) error  { return nil }
 func (f *fakeBackend) Score([]float64, [][]float64) ([]float64, error) {

@@ -19,6 +19,7 @@ type wrapper struct {
 
 	capsHook  func(backend.Capabilities) backend.Capabilities
 	costHook  func(backend.Cost, error) (backend.Cost, error)
+	priceHook func(float64) float64
 	runHook   func(err error) error
 	modelHook func([]float64) []float64
 	scoreHook func([]float64)
@@ -40,6 +41,14 @@ func (w *wrapper) EstimateCost(job backend.Job) (backend.Cost, error) {
 		return w.costHook(c, err)
 	}
 	return c, err
+}
+
+func (w *wrapper) PriceRun(job backend.Job, run backend.Run) (float64, error) {
+	sec, err := w.inner.PriceRun(job, run)
+	if err == nil && w.priceHook != nil {
+		sec = w.priceHook(sec)
+	}
+	return sec, err
 }
 
 func (w *wrapper) Configure(p backend.Program) error { return w.inner.Configure(p) }
@@ -182,4 +191,29 @@ func TestMetaDeterminismCheckFires(t *testing.T) {
 		},
 	}
 	runMutant(t, reg, backend.CheckDeterminism)
+}
+
+// TestMetaPriceCheckFires plants a price that drifts with every call —
+// state carried from run to run, like a running I/O total — in a
+// streaming backend (the accelerator: a fresh instance trained the same
+// way must quote the same run) and in one without a page stream (the
+// CPU: the quote must equal its analytic estimate).
+func TestMetaPriceCheckFires(t *testing.T) {
+	calls := 0.0
+	drift := func(w *wrapper) {
+		w.priceHook = func(sec float64) float64 {
+			calls++
+			return sec + calls*1e-3
+		}
+	}
+	accel := backend.Registration{
+		Name: backend.NameAccelerator,
+		New: func(env backend.Env) backend.Backend {
+			w := &wrapper{inner: backend.NewAccel(env)}
+			drift(w)
+			return w
+		},
+	}
+	runMutant(t, accel, backend.CheckPrice)
+	runMutant(t, cpuMutant(drift), backend.CheckPrice)
 }

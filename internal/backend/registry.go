@@ -121,28 +121,24 @@ func (d *Dispatcher) lookup(name string) (Registration, bool) {
 	return Registration{}, false
 }
 
-// admissible reports whether the backend's capabilities cover the job's
-// class, precision, and requested weave-bit window. The bits check is
-// two-sided: a full-width backend (MaxBits == 0) cannot honor a k-bit
-// weave request, and a weave backend only serves jobs that ask for
-// weave extraction — a Bits == 0 job wants the float path and must not
-// be silently rerouted through quantization, however cheap the rewoven
-// stream prices.
-func admissible(caps Capabilities, job Job) bool {
-	if !caps.Supports(job.Class) {
-		return false
+// Admit returns nil when the backend's capabilities cover the job's
+// class, precision, and requested weave-bit window, and the typed
+// ErrUnsupported rejection otherwise. The bits check is two-sided: a
+// full-width backend (MaxBits == 0) cannot honor a k-bit weave request,
+// and a weave backend only serves jobs that ask for weave extraction —
+// a Bits == 0 job wants the float path and must not be silently
+// rerouted through quantization, however cheap the rewoven stream
+// prices.
+func Admit(caps Capabilities, job Job) error {
+	bitsOK := job.Bits == 0
+	if caps.MaxBits != 0 {
+		bitsOK = job.Bits >= caps.MinBits && job.Bits <= caps.MaxBits
 	}
-	if job.Precision != "" && caps.Precision != job.Precision {
-		return false
+	if caps.Supports(job.Class) && (job.Precision == "" || caps.Precision == job.Precision) && bitsOK {
+		return nil
 	}
-	if caps.MaxBits == 0 {
-		if job.Bits != 0 {
-			return false
-		}
-	} else if job.Bits < caps.MinBits || job.Bits > caps.MaxBits {
-		return false
-	}
-	return true
+	return fmt.Errorf("%w: %s cannot run class=%s precision=%q bits=%d",
+		ErrUnsupported, caps.Name, job.Class, job.Precision, job.Bits)
 }
 
 // New instantiates the named backend for the job (the explicit-override
@@ -154,11 +150,53 @@ func (d *Dispatcher) New(name string, job Job) (Backend, Registration, error) {
 		return nil, Registration{}, fmt.Errorf("%w: %q (have %v)", ErrUnknownBackend, name, d.Names())
 	}
 	be := reg.New(d.env)
-	if !admissible(be.Capabilities(), job) {
-		return nil, Registration{}, fmt.Errorf("%w: backend %q cannot run class=%s precision=%q jobs",
-			ErrUnsupported, name, job.Class, job.Precision)
+	if err := Admit(be.Capabilities(), job); err != nil {
+		return nil, Registration{}, err
 	}
 	return be, reg, nil
+}
+
+// Quote is one registered backend's price for a job.
+type Quote struct {
+	Reg Registration
+	// Backend is the priced instance; Pick and Failover hand it out
+	// unconfigured.
+	Backend Backend
+	Cost    Cost
+	// Err is the typed rejection of a backend that cannot run the job
+	// (nil = admissible and priced).
+	Err error
+}
+
+// Quotes builds every registered backend and prices the job on the
+// admissible ones, in name order: the one pricing loop behind Pick,
+// Failover and the runtime's per-backend cost table.
+func (d *Dispatcher) Quotes(job Job) []Quote {
+	out := make([]Quote, len(d.regs))
+	for i, reg := range d.regs {
+		q := Quote{Reg: reg, Backend: reg.New(d.env)}
+		if q.Err = Admit(q.Backend.Capabilities(), job); q.Err == nil {
+			q.Cost, q.Err = q.Backend.EstimateCost(job)
+		}
+		out[i] = q
+	}
+	return out
+}
+
+// cheapest returns the lowest-priced admissible quote that keep accepts,
+// ties broken by name order.
+func (d *Dispatcher) cheapest(job Job, keep func(Quote) bool) (Quote, bool) {
+	var best Quote
+	found := false
+	for _, q := range d.Quotes(job) {
+		if q.Err != nil || !keep(q) {
+			continue
+		}
+		if !found || q.Cost.Seconds < best.Cost.Seconds {
+			best, found = q, true
+		}
+	}
+	return best, found
 }
 
 // Pick is the heterogeneous dispatch policy, documented and
@@ -174,30 +212,12 @@ func (d *Dispatcher) New(name string, job Job) (Backend, Registration, error) {
 //
 // No admissible backend is ErrUnsupported.
 func (d *Dispatcher) Pick(job Job) (Backend, Registration, Cost, error) {
-	var (
-		best     Backend
-		bestReg  Registration
-		bestCost Cost
-		found    bool
-	)
-	for _, reg := range d.regs {
-		be := reg.New(d.env)
-		if !admissible(be.Capabilities(), job) {
-			continue
-		}
-		c, err := be.EstimateCost(job)
-		if err != nil {
-			continue
-		}
-		if !found || c.Seconds < bestCost.Seconds {
-			best, bestReg, bestCost, found = be, reg, c, true
-		}
-	}
-	if !found {
+	q, ok := d.cheapest(job, func(Quote) bool { return true })
+	if !ok {
 		return nil, Registration{}, Cost{}, fmt.Errorf("%w: no backend for class=%s precision=%q",
 			ErrUnsupported, job.Class, job.Precision)
 	}
-	return best, bestReg, bestCost, nil
+	return q.Backend, q.Reg, q.Cost, nil
 }
 
 // Failover selects the degradation target after backend `failed`
@@ -206,31 +226,11 @@ func (d *Dispatcher) Pick(job Job) (Backend, Registration, Cost, error) {
 // cheapest by modeled cost, ties by name. The failed backend is
 // excluded even if it declares Fallback.
 func (d *Dispatcher) Failover(job Job, failed string) (Backend, Registration, error) {
-	var (
-		best    Backend
-		bestReg Registration
-		bestSec float64
-		found   bool
-	)
-	for _, reg := range d.regs {
-		if reg.Name == failed {
-			continue
-		}
-		be := reg.New(d.env)
-		caps := be.Capabilities()
-		if !caps.Fallback || !admissible(caps, job) {
-			continue
-		}
-		c, err := be.EstimateCost(job)
-		if err != nil {
-			continue
-		}
-		if !found || c.Seconds < bestSec {
-			best, bestReg, bestSec, found = be, reg, c.Seconds, true
-		}
-	}
-	if !found {
+	q, ok := d.cheapest(job, func(q Quote) bool {
+		return q.Reg.Name != failed && q.Backend.Capabilities().Fallback
+	})
+	if !ok {
 		return nil, Registration{}, fmt.Errorf("%w: after %q faulted on class=%s", ErrNoFailover, failed, job.Class)
 	}
-	return best, bestReg, nil
+	return q.Backend, q.Reg, nil
 }

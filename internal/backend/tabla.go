@@ -50,9 +50,8 @@ func (b *Tabla) tablaEngine(job Job) (cfgOK bool, cfg hwgen.Design) {
 // EstimateCost prices the job as cost.TABLA: single-thread epoch cycles
 // on the TABLA design point, plus the CPU-side feed.
 func (b *Tabla) EstimateCost(job Job) (Cost, error) {
-	if !admissible(b.Capabilities(), job) {
-		return Cost{}, fmt.Errorf("%w: %s cannot run class=%s precision=%q",
-			ErrUnsupported, NameTabla, job.Class, job.Precision)
+	if err := Admit(b.Capabilities(), job); err != nil {
+		return Cost{}, err
 	}
 	w := job.Workload()
 	if job.Engine != nil {
@@ -65,6 +64,13 @@ func (b *Tabla) EstimateCost(job Job) (Cost, error) {
 	}
 	bd := cost.TABLA(w, b.env.Cost, job.Warm)
 	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
+}
+
+// PriceRun reports the analytic estimate: TABLA has no modeled page
+// stream to integrate. It overrides the method promoted from Accel.
+func (b *Tabla) PriceRun(job Job, _ Run) (float64, error) {
+	c, err := b.EstimateCost(job)
+	return c.Seconds, err
 }
 
 // Configure builds the machine on the TABLA design point's engine

@@ -64,37 +64,57 @@ func jobBits(bits int) int {
 	return bits
 }
 
+// weaveGeometry returns the job's feature count and the exact weave-page
+// geometry of its relation, shared by the estimate and the run price.
+func weaveGeometry(job Job) (int, weaving.Geometry) {
+	nfeat := max(job.Columns-1, 1)
+	pageSize := job.PageSize
+	if pageSize <= 0 {
+		pageSize = storage.PageSize8K
+	}
+	return nfeat, weaving.RelationGeometry(job.Tuples, nfeat, pageSize)
+}
+
 // EstimateCost prices the job like the accelerator path, with the link
 // charged for the rewoven byte stream: FixedBytes + k×BitBytes from the
 // exact page geometry, and the Strider unpack cycles replaced by the
 // k-bit plane-gather model.
 func (b *Weave) EstimateCost(job Job) (Cost, error) {
-	if !admissible(b.Capabilities(), job) {
-		return Cost{}, fmt.Errorf("%w: %s cannot run class=%s precision=%q bits=%d",
-			ErrUnsupported, NameWeave, job.Class, job.Precision, job.Bits)
+	if err := Admit(b.Capabilities(), job); err != nil {
+		return Cost{}, err
 	}
 	w := job.Workload()
 	if job.Engine != nil {
 		est := job.Engine.Estimate(job.Design.Engine)
 		w.EpochCycles = est.EpochCycles(job.Tuples, max1(job.MergeCoef), job.Design.Engine.Threads)
 	}
-	bits := jobBits(job.Bits)
-	nfeat := job.Columns - 1
-	if nfeat < 1 {
-		nfeat = 1
-	}
-	pageSize := job.PageSize
-	if pageSize <= 0 {
-		pageSize = storage.PageSize8K
-	}
-	g := weaving.RelationGeometry(job.Tuples, nfeat, pageSize)
-	w.WeaveBits = bits
-	w.WeaveFixedBytes = g.FixedBytes
-	w.WeaveBitBytes = g.BitBytes
-	w.Pages = g.Pages
-	w.StriderPageCycles = weaving.PageDecodeCycles(nfeat, g.PageRows, bits)
+	nfeat, g := weaveGeometry(job)
+	w.WeaveBits, w.WeaveFixedBytes, w.WeaveBitBytes, w.Pages = jobBits(job.Bits), g.FixedBytes, g.BitBytes, g.Pages
+	w.StriderPageCycles = weaving.PageDecodeCycles(nfeat, g.PageRows, w.WeaveBits)
 	bd := cost.DAnA(w, b.inner.env.Cost, job.Warm)
 	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
+}
+
+// PriceRun prices the executed run like the accelerator pipeline, with
+// the link charged for the vertical layout instead of heap pages: per
+// extraction pass, FixedBytes + k×BitBytes of the relation's weave-page
+// geometry. The pass count comes from the run's actual page stream, so
+// retries and cached replays charge the same number of passes either
+// way.
+func (b *Weave) PriceRun(job Job, run Run) (float64, error) {
+	if err := Admit(b.Capabilities(), job); err != nil {
+		return 0, err
+	}
+	_, g := weaveGeometry(job)
+	heapPages := int64(max1(job.Pages))
+	passes := (run.Access.Pages + heapPages - 1) / heapPages
+	return b.inner.pipelineSeconds(cost.Workload{
+		DatasetBytes:    run.Access.Pages * int64(job.PageSize),
+		Pages:           int(passes) * g.Pages,
+		WeaveBits:       jobBits(job.Bits),
+		WeaveFixedBytes: passes * g.FixedBytes,
+		WeaveBitBytes:   passes * g.BitBytes,
+	}, run), nil
 }
 
 // Configure prepares the inner engine machine under the weave

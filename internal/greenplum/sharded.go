@@ -99,13 +99,18 @@ func (b *Sharded) Capabilities() backend.Capabilities {
 // EstimateCost prices the job as cost.MADlibGreenplum: the per-segment
 // CPU epoch over 1/Nth of the tuples, plus per-epoch merge traffic.
 func (b *Sharded) EstimateCost(job backend.Job) (backend.Cost, error) {
-	if !b.Capabilities().Supports(job.Class) ||
-		(job.Precision != "" && job.Precision != backend.PrecisionFloat64) {
-		return backend.Cost{}, fmt.Errorf("%w: %s cannot run class=%s precision=%q",
-			backend.ErrUnsupported, backend.NameSharded, job.Class, job.Precision)
+	if err := backend.Admit(b.Capabilities(), job); err != nil {
+		return backend.Cost{}, err
 	}
 	bd := costGreenplum(job, b.env)
 	return backend.Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
+}
+
+// PriceRun reports the analytic estimate: the segments have no modeled
+// page stream to integrate.
+func (b *Sharded) PriceRun(job backend.Job, _ backend.Run) (float64, error) {
+	c, err := b.EstimateCost(job)
+	return c.Seconds, err
 }
 
 func (b *Sharded) Configure(p backend.Program) error {

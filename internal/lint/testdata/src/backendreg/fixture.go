@@ -9,9 +9,10 @@ import "dana/internal/backend"
 // base provides the method set shared by the fixture backends.
 type base struct{}
 
-func (base) EstimateCost(backend.Job) (backend.Cost, error) { return backend.Cost{}, nil }
-func (base) Configure(backend.Program) error                { return nil }
-func (base) RunEpoch(*backend.Stream) error                 { return nil }
+func (base) EstimateCost(backend.Job) (backend.Cost, error)     { return backend.Cost{}, nil }
+func (base) PriceRun(backend.Job, backend.Run) (float64, error) { return 0, nil }
+func (base) Configure(backend.Program) error                    { return nil }
+func (base) RunEpoch(*backend.Stream) error                     { return nil }
 func (base) Score([]float64, [][]float64) ([]float64, error) {
 	return nil, nil
 }

@@ -119,7 +119,6 @@ type epochRunner struct {
 	fits     bool
 	workers  int
 	channels int
-	depth    int
 	cacheOK  bool
 
 	// Per-channel record arenas (one slab per channel, lazily sized
@@ -192,10 +191,6 @@ func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, 
 		// eviction (and therefore modeled I/O) stays deterministic.
 		workers = 1
 	}
-	depth := s.Opts.PipelineDepth
-	if depth <= 0 {
-		depth = defaultPipelineDepth
-	}
 	retries := s.Opts.MaxPageRetries
 	switch {
 	case retries == 0:
@@ -212,7 +207,6 @@ func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, 
 		fits:     fits,
 		workers:  workers,
 		channels: s.channels,
-		depth:    depth,
 		cacheOK:  fits && !s.Opts.NoExtractCache,
 
 		faults:         s.Opts.Faults,
@@ -250,7 +244,7 @@ func (r *epochRunner) sizeArenas() {
 	}
 	cols := r.ae.Schema.NumCols()
 	perPage := (r.rel.NumTuples() + pages - 1) / pages // ceil avg tuples/page
-	window := 2 * (r.workers*(r.depth+2)/r.channels + 2)
+	window := 2 * (r.workers*(defaultPipelineDepth+2)/r.channels + 2)
 	r.arenas = make([]*accessengine.Arena, r.channels)
 	for c := range r.arenas {
 		capPages := cost.ChannelPages(pages, r.channels, c) + 1
@@ -290,7 +284,7 @@ func (r *epochRunner) chargeChannel(res *accessengine.PageResult) {
 // the epoch re-runs on the healthy subset. With every VM quarantined
 // the typed fault.ErrWorkerQuarantined surfaces, which the runtime
 // treats as an accelerator fault (CPU fallback).
-func (r *epochRunner) runEpochRecover(epoch int) error {
+func (r *epochRunner) runEpochRecover(epoch int) (cached bool, err error) {
 	var snap []float64
 	if r.faults != nil || r.s.Opts.EpochTimeout > 0 {
 		// An epoch can fail, and a failed epoch must not leave
@@ -299,26 +293,26 @@ func (r *epochRunner) runEpochRecover(epoch int) error {
 		snap = r.be.Model()
 	}
 	for {
-		err := r.runEpoch(epoch)
+		cached, err = r.runEpoch(epoch)
 		if err == nil {
-			return nil
+			return cached, nil
 		}
 		if snap != nil {
 			if rerr := r.be.SetModel(snap); rerr != nil {
-				return fmt.Errorf("runtime: restoring model after failed epoch: %w", rerr)
+				return false, fmt.Errorf("runtime: restoring model after failed epoch: %w", rerr)
 			}
 		}
 		var we *workerError
 		if errors.As(err, &we) && errors.Is(err, fault.ErrVMTrap) {
 			r.quarantine(we.vmIdx, we.pageNo)
 			if len(r.healthy) == 0 {
-				return fmt.Errorf("runtime: epoch %d: %w: %w", epoch, err, fault.ErrWorkerQuarantined)
+				return false, fmt.Errorf("runtime: epoch %d: %w: %w", epoch, err, fault.ErrWorkerQuarantined)
 			}
 			r.s.obsEpochRetries.Inc()
 			r.s.obs.Trace(obs.EvEpochRetry, int64(epoch), int64(len(r.healthy)))
 			continue
 		}
-		return err
+		return false, err
 	}
 }
 
@@ -373,17 +367,15 @@ func (r *epochRunner) extract(vmIdx int, pg storage.Page, res *accessengine.Page
 // runEpoch extracts every page of the relation and runs the engine over
 // the tuples, overlapping the two when workers > 1. Cached epochs skip
 // the buffer pool and Strider walk entirely, replaying the identical
-// modeled counters. epoch is the zero-based epoch index (trace only).
-func (r *epochRunner) runEpoch(epoch int) error {
-	start := time.Now()
+// modeled counters; cached reports which of the two ran. epoch is the
+// zero-based epoch index (error messages only).
+func (r *epochRunner) runEpoch(epoch int) (cached bool, err error) {
 	r.epoch = epoch
 	if t := r.s.Opts.EpochTimeout; t > 0 {
-		r.deadline = start.Add(t)
+		r.deadline = time.Now().Add(t)
 	} else {
 		r.deadline = time.Time{}
 	}
-	cached := false
-	var err error
 	if r.cacheOK {
 		if ent := r.s.cache.lookup(r.rel, r.s.DB.Pool.InvalidationCount()); ent != nil {
 			cached = true
@@ -402,20 +394,7 @@ func (r *epochRunner) runEpoch(epoch int) error {
 		r.s.cache.store(r.pendingEnt)
 	}
 	r.pendingEnt = nil
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start).Nanoseconds()
-	r.s.obsEpochs.Inc()
-	r.s.obsEpochWall.Add(wall)
-	r.s.obsEpochHist.Observe(wall)
-	if cached {
-		r.s.obsEpochsCached.Inc()
-		r.s.obs.Trace(obs.EvEpochCached, int64(epoch), wall)
-	} else {
-		r.s.obs.Trace(obs.EvEpoch, int64(epoch), wall)
-	}
-	return nil
+	return cached, err
 }
 
 // replay charges the cached per-page counters (in page order, preserving
@@ -636,12 +615,12 @@ func (r *epochRunner) extractParallel(w int, sink func(*accessengine.PageResult)
 	if reuse && r.free == nil {
 		r.free = make([]chan *accessengine.PageResult, r.channels)
 		for c := range r.free {
-			r.free[c] = make(chan *accessengine.PageResult, plan.shardW*(r.depth+2)+2)
+			r.free[c] = make(chan *accessengine.PageResult, plan.shardW*(defaultPipelineDepth+2)+2)
 		}
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < nw; i++ {
-		outs[i] = make(chan *accessengine.PageResult, r.depth)
+		outs[i] = make(chan *accessengine.PageResult, defaultPipelineDepth)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

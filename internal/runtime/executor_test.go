@@ -402,12 +402,12 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		r, m := newBenchRunner(t, workers, channels, true)
 		defer m.Close()
 		for e := 0; e < 2; e++ {
-			if err := r.runEpoch(e); err != nil {
+			if _, err := r.runEpoch(e); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return testing.AllocsPerRun(3, func() {
-			if err := r.runEpoch(2); err != nil {
+			if _, err := r.runEpoch(2); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -273,6 +273,50 @@ func TestClusterDownDegradesToCPU(t *testing.T) {
 	}
 }
 
+// TestDegradedRunCountsEveryEpoch: failover epochs run through the
+// same epoch loop as healthy ones, so the runtime.epochs counter, the
+// epoch-wall histogram and the EvEpoch trace events all account for
+// every epoch the result reports. ClusterDown at rate 1.0 would fail
+// every epoch it is injected into, so a completed run also proves the
+// failover leg receives no injected cluster faults.
+func TestDegradedRunCountsEveryEpoch(t *testing.T) {
+	cases := map[string]fault.Config{
+		"cluster-down": {Seed: 3, Rates: rate(fault.ClusterDown, 1.0)},
+		"quarantined":  {Seed: 5, Rates: rate(fault.StriderTrap, 1.0), TransientAttempts: -1},
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			s, udf, table := ftSystem(t, func(o *Options) { o.Faults = fault.New(cfg) })
+			res, err := s.Train(udf, table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Degraded || res.Epochs != ftEpochs {
+				t.Fatalf("want a degraded run over the full budget of %d epochs, got %+v", ftEpochs, res)
+			}
+			r := s.Obs()
+			if got := r.Get(obs.RuntimeEpochs); got != int64(res.Epochs) {
+				t.Errorf("obs epochs %d != result epochs %d", got, res.Epochs)
+			}
+			if h := r.Snapshot().Histograms[obs.HistEpochWallNs]; h.Count != int64(res.Epochs) {
+				t.Errorf("epoch wall histogram count %d != epochs %d", h.Count, res.Epochs)
+			}
+			failedOver, epochEvents := false, 0
+			for _, ev := range r.Ring().Events() {
+				switch {
+				case ev.Name == obs.EvFailover:
+					failedOver = true
+				case failedOver && ev.Name == obs.EvEpoch:
+					epochEvents++
+				}
+			}
+			if want := res.Epochs - res.DegradedAtEpoch; epochEvents != want {
+				t.Errorf("trace has %d epoch events after failover, want %d", epochEvents, want)
+			}
+		})
+	}
+}
+
 // TestStorageFaultIsNotDegradable: persistent disk-read failure is not
 // an accelerator fault — the CPU cannot read the table either, so the
 // run must fail with the typed I/O error instead of degrading.

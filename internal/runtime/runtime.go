@@ -27,7 +27,6 @@ import (
 	"dana/internal/sql"
 	"dana/internal/storage"
 	"dana/internal/strider"
-	"dana/internal/weaving"
 )
 
 // Options configure a System.
@@ -77,9 +76,6 @@ type Options struct {
 	// their totals are invariant). The *modeled* transfer time follows
 	// Cost.Link, which is configured independently.
 	Channels int
-	// PipelineDepth bounds the extracted-but-unconsumed page batches per
-	// worker (0 = default), bounding memory for large tables.
-	PipelineDepth int
 	// NoExtractCache disables the cross-epoch extracted-record cache, so
 	// every epoch re-walks the heap pages through the Striders.
 	NoExtractCache bool
@@ -432,7 +428,7 @@ func (s *System) jobFor(udf *catalog.UDF, rel *storage.Relation, acc *catalog.Ac
 // read precision, since full-width backends reject k-bit jobs — "auto"
 // runs cost-based dispatch, anything else is an explicit override by
 // registered name.
-func (s *System) pickBackend(job backend.Job) (backend.Backend, backend.Registration, backend.Cost, error) {
+func (s *System) pickBackend(job backend.Job) (backend.Backend, backend.Registration, error) {
 	name := s.Opts.Backend
 	switch name {
 	case "":
@@ -442,50 +438,54 @@ func (s *System) pickBackend(job backend.Job) (backend.Backend, backend.Registra
 			name = backend.NameAccelerator
 		}
 	case backend.NameAuto:
-		return s.disp.Pick(job)
+		be, reg, _, err := s.disp.Pick(job)
+		return be, reg, err
 	}
-	be, reg, err := s.disp.New(name, job)
+	return s.disp.New(name, job)
+}
+
+// resolve looks up a registered UDF and a table, building the UDF's
+// accelerator on first use.
+func (s *System) resolve(udfName, table string) (*catalog.UDF, *storage.Relation, *catalog.Accelerator, error) {
+	udf, err := s.DB.Cat.UDF(udfName)
 	if err != nil {
-		return nil, backend.Registration{}, backend.Cost{}, err
+		return nil, nil, nil, err
 	}
-	c, err := be.EstimateCost(job)
+	rel, err := s.DB.Cat.Table(table)
 	if err != nil {
-		c = backend.Cost{}
+		return nil, nil, nil, err
 	}
-	return be, reg, c, nil
+	acc, ok := s.DB.Cat.Accelerator(udfName)
+	if !ok {
+		if acc, err = s.buildAccelerator(udf, 0, rel.NumTuples()); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	return udf, rel, acc, nil
 }
 
 // Train runs a registered UDF over a table on the selected execution
-// backend. The default (accelerator) path is the DAnA pipeline:
-// buffer-pool pages -> Striders -> execution engine, epoch by epoch
-// with convergence checks; other backends train over the materialized
+// backend. Backends with page walkers (Capabilities.Streaming) run the
+// DAnA pipeline: buffer-pool pages -> Striders -> engine, epoch by
+// epoch with convergence checks; the others train over the materialized
 // tuples (narrowed through float32, the Strider datapath width, so
-// every backend sees the same values).
+// every backend sees the same values). The backend that ran prices the
+// run (Backend.PriceRun).
 func (s *System) Train(udfName, table string) (*TrainResult, error) {
 	if s.Opts.Precision < 0 || s.Opts.Precision > storage.WeaveMaxBits {
 		return nil, fmt.Errorf("%w: precision %d outside [0, %d]",
 			backend.ErrUnsupported, s.Opts.Precision, storage.WeaveMaxBits)
 	}
-	udf, err := s.DB.Cat.UDF(udfName)
+	udf, rel, acc, err := s.resolve(udfName, table)
 	if err != nil {
 		return nil, err
-	}
-	rel, err := s.DB.Cat.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	acc, ok := s.DB.Cat.Accelerator(udfName)
-	if !ok {
-		if acc, err = s.buildAccelerator(udf, 0, rel.NumTuples()); err != nil {
-			return nil, err
-		}
 	}
 	if got, want := rel.Schema.NumCols(), udf.Graph.TupleWidth(); got != want {
 		return nil, fmt.Errorf("runtime: table %q has %d columns, UDF %q consumes %d", table, got, udfName, want)
 	}
 
 	job := s.jobFor(udf, rel, acc)
-	be, reg, bcost, err := s.pickBackend(job)
+	be, reg, err := s.pickBackend(job)
 	if err != nil {
 		return nil, err
 	}
@@ -498,7 +498,7 @@ func (s *System) Train(udfName, table string) (*TrainResult, error) {
 	if nStriders > 16 {
 		nStriders = 16 // in-process VM instances; cycle model unchanged
 	}
-	if err := be.Configure(backend.Program{
+	prog := backend.Program{
 		Graph:     udf.Graph,
 		Engine:    acc.Program,
 		EngineCfg: acc.Design.Engine,
@@ -507,21 +507,21 @@ func (s *System) Train(udfName, table string) (*TrainResult, error) {
 		PageSize:  s.Opts.PageSize,
 		Tuples:    rel.NumTuples(),
 		Bits:      job.Bits,
-	}); err != nil {
+	}
+	if err := be.Configure(prog); err != nil {
 		return nil, err
 	}
 	if cl, ok := be.(backend.Closer); ok {
 		defer cl.Close() // releases batch fan-out helpers, if any
 	}
 
-	epochs := job.Epochs
 	res := &TrainResult{UDF: udfName, Table: table, Design: acc.Design, Backend: reg.Name}
 	trainStart := time.Now()
 	s.obsTrainRuns.Inc()
-	s.obs.Trace(obs.EvTrainStart, int64(epochs), int64(rel.NumPages()))
+	s.obs.Trace(obs.EvTrainStart, int64(job.Epochs), int64(rel.NumPages()))
 
 	var ae *accessengine.Engine
-	var degradeErr error
+	var epoch epochFunc
 	if caps.Streaming {
 		// The DAnA pipeline: pages stream from the buffer pool through
 		// Striders into the engine, with the record cache and the
@@ -532,198 +532,85 @@ func (s *System) Train(udfName, table string) (*TrainResult, error) {
 		}
 		ae.SetObs(s.obs)
 		ae.SetFaults(s.Opts.Faults)
-		runner := s.newEpochRunner(ae, rel, be)
-		degradeErr, err = s.trainLoop(res, epochs, be, func(e int) error {
-			if err := s.Opts.Faults.ClusterFault(e); err != nil {
-				return err
-			}
-			return runner.runEpochRecover(e)
-		})
-	} else {
-		rows64, rows32, serr := s.scanRows(rel)
-		if serr != nil {
-			return nil, serr
-		}
-		st := &backend.Stream{Rows32: rows32, Rows64: rows64}
-		degradeErr, err = s.trainLoop(res, epochs, be, func(e int) error {
-			if caps.Accelerated {
-				// Only backends modeling faultable accelerator hardware are
-				// subject to injected cluster faults.
-				if err := s.Opts.Faults.ClusterFault(e); err != nil {
-					return err
-				}
-			}
-			epochStart := time.Now()
-			if err := be.RunEpoch(st); err != nil {
-				return err
-			}
-			wall := time.Since(epochStart).Nanoseconds()
-			s.obsEpochs.Inc()
-			s.obsEpochWall.Add(wall)
-			s.obsEpochHist.Observe(wall)
-			s.obs.Trace(obs.EvEpoch, int64(e), wall)
-			return nil
-		})
-	}
-	if err != nil {
+		epoch = s.newEpochRunner(ae, rel, be).runEpochRecover
+	} else if epoch, err = s.rowsEpoch(rel, be); err != nil {
 		return nil, err
 	}
-	if res.Degraded {
-		if err := s.failover(res, job, be, reg.Name, udf, rel, epochs); err != nil {
+	if err := s.trainLoop(res, job.Epochs, be, caps.Accelerated, epoch); err != nil {
+		if s.Opts.DisableCPUFallback || !fault.IsAcceleratorFault(err) {
+			return nil, err
+		}
+		// Graceful degradation: the accelerator is gone but storage is
+		// intact, so the remaining epochs run on the failover backend
+		// from the epoch-start model state.
+		res.Degraded = true
+		res.DegradedAtEpoch = res.Epochs
+		if ferr := s.failover(res, job, prog, be, reg.Name, rel); ferr != nil {
 			// Both errors wrap: the caller must be able to errors.Is against
 			// the accelerator fault that triggered degradation AND the
 			// failover failure.
-			return nil, fmt.Errorf("runtime: backend failover after accelerator fault (%w) failed: %w", degradeErr, err)
+			return nil, fmt.Errorf("runtime: backend failover after accelerator fault (%w) failed: %w", err, ferr)
 		}
-	}
-	counters := engine.Stats{}
-	if cb, ok := be.(backend.CounterBackend); ok {
-		counters = cb.Counters()
-	}
-	s.obsTrainWall.Add(time.Since(trainStart).Nanoseconds())
-	s.obs.Trace(obs.EvTrainDone, int64(res.Epochs), counters.Cycles)
-	if !res.Degraded {
+	} else {
 		res.Model = model32(be.Model())
 	}
-	res.Engine = counters
+	if cb, ok := be.(backend.CounterBackend); ok {
+		res.Engine = cb.Counters()
+	}
+	s.obsTrainWall.Add(time.Since(trainStart).Nanoseconds())
+	s.obs.Trace(obs.EvTrainDone, int64(res.Epochs), res.Engine.Cycles)
 	if ae != nil {
 		res.Access = ae.Stats()
 	}
 	res.Pool = s.DB.Pool.Stats()
-	if caps.Streaming {
-		// Pipeline time: engine and striders overlap; link transfer too.
-		// Transfer is charged through the channel model (max-over-channels
-		// of the round-robin page shares); the run's page stream — cached
-		// replays included — is one interleaved sequence. The zero-value
-		// Cost.Link reproduces the legacy scalar PCIe×scale charge exactly.
-		clock := s.Opts.FPGA.ClockHz
-		engineSec := float64(res.Engine.Cycles) / clock
-		striderSec := float64(res.Access.Cycles) / clock
-		cp := s.Opts.Cost
-		cp.BandwidthScale = nz(cp.BandwidthScale)
-		tw := cost.Workload{
-			DatasetBytes: res.Access.Pages * int64(s.Opts.PageSize),
-			Pages:        int(res.Access.Pages),
-		}
-		if job.Bits > 0 && reg.Name == backend.NameWeave {
-			// The weave path ships the vertical layout instead of heap
-			// pages: per extraction pass, FixedBytes + k×BitBytes of the
-			// relation's weave-page geometry. Pass count comes from the
-			// run's actual page stream, so retries and cached replays
-			// charge the same number of passes either way.
-			nfeat := rel.Schema.NumCols() - 1
-			g := weaving.RelationGeometry(rel.NumTuples(), nfeat, s.Opts.PageSize)
-			hp := int64(rel.NumPages())
-			if hp < 1 {
-				hp = 1
-			}
-			passes := (res.Access.Pages + hp - 1) / hp
-			tw.WeaveBits = job.Bits
-			tw.WeaveFixedBytes = passes * g.FixedBytes
-			tw.WeaveBitBytes = passes * g.BitBytes
-			tw.Pages = int(passes) * g.Pages
-		}
-		transferSec := cost.TransferSec(tw, cp)
-		pipe := engineSec
-		if striderSec > pipe {
-			pipe = striderSec
-		}
-		if transferSec > pipe {
-			pipe = transferSec
-		}
-		res.SimulatedSeconds = pipe + res.Pool.IOSeconds + s.Opts.Cost.SetupSec
-	} else {
-		// Non-pipeline backends report the analytic estimate: they have no
-		// modeled page stream to integrate.
-		res.SimulatedSeconds = bcost.Seconds
+	res.SimulatedSeconds, err = be.PriceRun(job, backend.Run{Access: res.Access, IOSeconds: res.Pool.IOSeconds})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// trainLoop drives the per-epoch body with convergence checks and the
-// shared degradation policy: an accelerator fault marks the result
-// degraded (for the failover path) unless fallback is disabled; every
-// other error surfaces directly.
-func (s *System) trainLoop(res *TrainResult, epochs int, be backend.Backend, body func(e int) error) (degradeErr error, err error) {
-	for e := 0; e < epochs; e++ {
-		if err := body(e); err != nil {
+// epochFunc runs training epoch e. cached reports that the epoch
+// replayed the extracted-record cache instead of walking the heap.
+type epochFunc func(e int) (cached bool, err error)
+
+// trainLoop is the one epoch loop of every Train path, failover
+// included. It runs body for epochs res.Epochs up to the budget with
+// convergence checks, injects cluster faults before each epoch when
+// accelerated (only backends modeling faultable accelerator hardware are
+// subject to them), and records each epoch's bookkeeping: counters,
+// wall time, histogram and trace. The first failing epoch's error is
+// returned with res.Epochs left at that epoch.
+func (s *System) trainLoop(res *TrainResult, epochs int, be backend.Backend, accelerated bool, body epochFunc) error {
+	for e := res.Epochs; e < epochs; e++ {
+		start := time.Now()
+		var cached bool
+		var err error
+		if accelerated {
+			err = s.Opts.Faults.ClusterFault(e)
+		}
+		if err == nil {
+			cached, err = body(e)
+		}
+		if err != nil {
 			if errors.Is(err, fault.ErrEpochTimeout) {
 				s.obsEpochTimeout.Inc()
 				s.obs.Trace(obs.EvEpochTimeout, int64(e), int64(s.Opts.EpochTimeout))
 			}
-			if s.Opts.DisableCPUFallback || !fault.IsAcceleratorFault(err) {
-				return nil, err
-			}
-			// Graceful degradation: the accelerator is gone but storage is
-			// intact, so the remaining epochs run on the failover backend
-			// from the epoch-start model state.
-			res.Degraded = true
-			res.DegradedAtEpoch = e
-			return err, nil
+			return err
+		}
+		wall := time.Since(start).Nanoseconds()
+		s.obsEpochs.Inc()
+		s.obsEpochWall.Add(wall)
+		s.obsEpochHist.Observe(wall)
+		if cached {
+			s.obsEpochsCached.Inc()
+			s.obs.Trace(obs.EvEpochCached, int64(e), wall)
+		} else {
+			s.obs.Trace(obs.EvEpoch, int64(e), wall)
 		}
 		res.Epochs++
 		if cv, ok := be.(backend.Converger); ok {
-			done, cerr := cv.Converged()
-			if cerr != nil {
-				return nil, cerr
-			}
-			if done {
-				break
-			}
-		}
-	}
-	return nil, nil
-}
-
-// failover completes a degraded training run on the dispatcher's
-// failover target — among backends declaring Capabilities.Fallback, the
-// cheapest admissible one that is not the faulted backend (the golden
-// float64 CPU trainer in the default registry). It picks up the faulted
-// backend's epoch-start model, re-reads the tuples from the heap
-// (narrowed through float32, matching the Strider datapath), and runs
-// the remaining epoch budget. The downgrade is surfaced via the
-// runtime.failovers counter (plus the historical runtime.cpu_fallbacks
-// when the target is the CPU backend) and trace events — never a panic,
-// never a silent wrong model.
-func (s *System) failover(res *TrainResult, job backend.Job, failed backend.Backend, failedName string, udf *catalog.UDF, rel *storage.Relation, totalEpochs int) error {
-	// Degradation drops any reduced read precision: fallback targets are
-	// full-width reference trainers, and a k-bit request was a bandwidth
-	// optimization, not a semantic requirement.
-	job.Bits = 0
-	fb, freg, err := s.disp.Failover(job, failedName)
-	if err != nil {
-		return err
-	}
-	remaining := totalEpochs - res.DegradedAtEpoch
-	s.obsFailovers.Inc()
-	s.obs.Trace(obs.EvFailover, int64(res.DegradedAtEpoch), int64(remaining))
-	if freg.Name == backend.NameCPU {
-		s.obsCPUFallbacks.Inc()
-		s.obs.Trace(obs.EvCPUFallback, int64(res.DegradedAtEpoch), int64(remaining))
-	}
-	if err := fb.Configure(backend.Program{
-		Graph:     udf.Graph,
-		MergeCoef: udf.Graph.MergeCoef,
-		PageSize:  s.Opts.PageSize,
-		Tuples:    rel.NumTuples(),
-		Init:      failed.Model(), // epoch-start state (restored on epoch failure)
-	}); err != nil {
-		return err
-	}
-	if cl, ok := fb.(backend.Closer); ok {
-		defer cl.Close()
-	}
-	rows64, _, err := s.scanRows(rel)
-	if err != nil {
-		return err
-	}
-	st := &backend.Stream{Rows64: rows64}
-	for e := 0; e < remaining; e++ {
-		if err := fb.RunEpoch(st); err != nil {
-			return err
-		}
-		res.Epochs++
-		if cv, ok := fb.(backend.Converger); ok {
 			done, cerr := cv.Converged()
 			if cerr != nil {
 				return cerr
@@ -732,6 +619,74 @@ func (s *System) failover(res *TrainResult, job backend.Job, failed backend.Back
 				break
 			}
 		}
+	}
+	return nil
+}
+
+// rowsEpoch materializes the relation once and returns the epoch body
+// that feeds it to be: the path of backends without page walkers, and
+// of failover, which must bypass the faulted Striders. Every value is
+// narrowed through float32 — the Strider datapath width — so these
+// backends still see the exact values extraction would deliver.
+func (s *System) rowsEpoch(rel *storage.Relation, be backend.Backend) (epochFunc, error) {
+	st := &backend.Stream{}
+	err := rel.Scan(func(_ storage.TID, vals []float64) error {
+		r32 := make([]float32, len(vals))
+		r64 := make([]float64, len(vals))
+		for i, v := range vals {
+			r32[i] = float32(v)
+			r64[i] = float64(r32[i])
+		}
+		st.Rows32 = append(st.Rows32, r32)
+		st.Rows64 = append(st.Rows64, r64)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return func(int) (bool, error) { return false, be.RunEpoch(st) }, nil
+}
+
+// failover completes a degraded training run on the dispatcher's
+// failover target — among backends declaring Capabilities.Fallback, the
+// cheapest admissible one that is not the faulted backend (the golden
+// float64 CPU trainer in the default registry). It picks up the faulted
+// backend's epoch-start model, re-reads the tuples from the heap
+// (narrowed through float32, matching the Strider datapath), and runs
+// the remaining epoch budget through the same loop, with no injected
+// cluster faults. The downgrade is surfaced via the runtime.failovers
+// counter (plus the historical runtime.cpu_fallbacks when the target is
+// the CPU backend) and trace events — never a panic, never a silent
+// wrong model.
+func (s *System) failover(res *TrainResult, job backend.Job, prog backend.Program, failed backend.Backend, failedName string, rel *storage.Relation) error {
+	// Degradation drops any reduced read precision: fallback targets are
+	// full-width reference trainers, and a k-bit request was a bandwidth
+	// optimization, not a semantic requirement.
+	job.Bits, prog.Bits = 0, 0
+	fb, freg, err := s.disp.Failover(job, failedName)
+	if err != nil {
+		return err
+	}
+	remaining := job.Epochs - res.DegradedAtEpoch
+	s.obsFailovers.Inc()
+	s.obs.Trace(obs.EvFailover, int64(res.DegradedAtEpoch), int64(remaining))
+	if freg.Name == backend.NameCPU {
+		s.obsCPUFallbacks.Inc()
+		s.obs.Trace(obs.EvCPUFallback, int64(res.DegradedAtEpoch), int64(remaining))
+	}
+	prog.Init = failed.Model() // epoch-start state (restored on epoch failure)
+	if err := fb.Configure(prog); err != nil {
+		return err
+	}
+	if cl, ok := fb.(backend.Closer); ok {
+		defer cl.Close()
+	}
+	epoch, err := s.rowsEpoch(rel, fb)
+	if err != nil {
+		return err
+	}
+	if err := s.trainLoop(res, job.Epochs, fb, false, epoch); err != nil {
+		return err
 	}
 	res.FailoverBackend = freg.Name
 	res.Model = model32(fb.Model())
@@ -752,58 +707,19 @@ type BackendCost struct {
 // registered backend — the dispatcher's view before it picks. The
 // returned slice is in registry (name) order.
 func (s *System) EstimateBackends(udfName, table string) ([]BackendCost, error) {
-	udf, err := s.DB.Cat.UDF(udfName)
+	udf, rel, acc, err := s.resolve(udfName, table)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := s.DB.Cat.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	acc, ok := s.DB.Cat.Accelerator(udfName)
-	if !ok {
-		if acc, err = s.buildAccelerator(udf, 0, rel.NumTuples()); err != nil {
-			return nil, err
-		}
-	}
-	job := s.jobFor(udf, rel, acc)
 	var out []BackendCost
-	for _, reg := range s.disp.Registrations() {
-		bc := BackendCost{Name: reg.Name}
-		c, err := reg.New(backend.Env{
-			Obs: obs.Noop, Cost: s.Opts.Cost, FPGA: s.Opts.FPGA,
-			Workers: s.Opts.Workers, Segments: s.Opts.Segments,
-		}).EstimateCost(job)
-		if err != nil {
-			bc.Err = err.Error()
-		} else {
-			bc.Seconds = c.Seconds
+	for _, q := range s.disp.Quotes(s.jobFor(udf, rel, acc)) {
+		bc := BackendCost{Name: q.Reg.Name, Seconds: q.Cost.Seconds}
+		if q.Err != nil {
+			bc.Err = q.Err.Error()
 		}
 		out = append(out, bc)
 	}
 	return out, nil
-}
-
-// scanRows materializes the relation's tuples with every value narrowed
-// through float32 — the Strider datapath width — so backends that skip
-// the extraction pipeline still see the exact values it would deliver.
-func (s *System) scanRows(rel *storage.Relation) (rows64 [][]float64, rows32 [][]float32, err error) {
-	err = rel.Scan(func(_ storage.TID, vals []float64) error {
-		r32 := make([]float32, len(vals))
-		r64 := make([]float64, len(vals))
-		for i, v := range vals {
-			f := float32(v)
-			r32[i] = f
-			r64[i] = float64(f)
-		}
-		rows32 = append(rows32, r32)
-		rows64 = append(rows64, r64)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows64, rows32, nil
 }
 
 // model32 narrows a backend's float64 model view to the result's
@@ -818,13 +734,6 @@ func model32(m []float64) []float32 {
 		out[i] = float32(v)
 	}
 	return out
-}
-
-func nz(v float64) float64 {
-	if v == 0 {
-		return 1
-	}
-	return v
 }
 
 // RunUDF implements sql.UDFRunner: training results surface as a result
