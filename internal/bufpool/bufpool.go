@@ -71,6 +71,18 @@ type Stats struct {
 	ChecksumFailures int64
 }
 
+// add accumulates d into s, field by field.
+func (s *Stats) add(d Stats) {
+	s.Hits += d.Hits
+	s.Misses += d.Misses
+	s.Evictions += d.Evictions
+	s.BytesRead += d.BytesRead
+	s.IOSeconds += d.IOSeconds
+	s.Retries += d.Retries
+	s.BackoffSeconds += d.BackoffSeconds
+	s.ChecksumFailures += d.ChecksumFailures
+}
+
 // HitRatio returns hits / (hits+misses), or 1 when there were no accesses.
 func (s Stats) HitRatio() float64 {
 	total := s.Hits + s.Misses
@@ -97,7 +109,8 @@ type Pool struct {
 	hand     int            // clock hand
 	rels     map[string]*storage.Relation
 	disk     DiskModel
-	stats    Stats
+	stats    Stats // running totals (zeroed by ResetStats)
+	meter    Stats // charged alongside stats since the last StartMeter
 	pageSize int
 	invals   uint64 // bumped by Invalidate/InvalidateRelation
 
@@ -207,6 +220,29 @@ func (p *Pool) Stats() Stats {
 	return p.stats
 }
 
+// StartMeter zeroes the meter: a second set of counters, charged
+// alongside the running totals and read back by Meter. The runtime
+// meters each Train, so a run reports its own I/O and not the pool's
+// history.
+func (p *Pool) StartMeter() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.meter = Stats{}
+}
+
+// Meter returns the counters charged since the last StartMeter.
+func (p *Pool) Meter() Stats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.meter
+}
+
+// charge adds d to the running totals and to the meter.
+func (p *Pool) charge(d Stats) {
+	p.stats.add(d)
+	p.meter.add(d)
+}
+
 // ResetStats zeroes the counters (pool contents are untouched, so a reset
 // followed by re-scanning models the warm-cache setting).
 func (p *Pool) ResetStats() {
@@ -284,7 +320,7 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 		if f.usage < 5 {
 			f.usage++
 		}
-		p.stats.Hits++
+		p.charge(Stats{Hits: 1})
 		p.obsHits.Inc()
 		return f.page, nil
 	}
@@ -301,7 +337,7 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 	if f.valid {
 		delete(p.table, f.id)
 		f.valid = false
-		p.stats.Evictions++
+		p.charge(Stats{Evictions: 1})
 		p.obsEvict.Inc()
 	}
 	if f.page == nil {
@@ -321,7 +357,7 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 		lastErr = nil
 		if ierr := p.faults.ReadFault(rel, pageNo); ierr != nil {
 			// The failed request still spent its latency on the device.
-			p.stats.IOSeconds += p.disk.ReadLatencySec
+			p.charge(Stats{IOSeconds: p.disk.ReadLatencySec})
 			p.obsIOSec.Add(p.disk.ReadLatencySec)
 			//danalint:ignore hotcall -- wrap runs only under an injected read fault, never in the fault-free steady state
 			lastErr = fmt.Errorf("bufpool: read %v: %w", id, ierr)
@@ -334,12 +370,12 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 			copy(f.page, src)
 			p.faults.CorruptCopy(rel, pageNo, f.page)
 			rt := p.disk.ReadTime(p.pageSize) + p.faults.ReadLatencySec(rel, pageNo)
-			p.stats.IOSeconds += rt
+			p.charge(Stats{IOSeconds: rt})
 			p.obsIOSec.Add(rt)
 			if verify {
 				p.obsCkVerified.Inc()
 				if !f.page.ChecksumOK() {
-					p.stats.ChecksumFailures++
+					p.charge(Stats{ChecksumFailures: 1})
 					p.obsCkFailed.Inc()
 					p.obsRing.Emit(obs.EvChecksumFail, int64(pageNo), int64(attempt))
 					//danalint:ignore hotcall -- wrap runs only on a checksum failure (torn page), never in the fault-free steady state
@@ -359,8 +395,7 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 		// Retry after capped exponential backoff on the simulated clock:
 		// a torn page or transient I/O error is re-read from the source.
 		back := fault.BackoffSec(attempt, p.disk.ReadLatencySec)
-		p.stats.Retries++
-		p.stats.BackoffSeconds += back
+		p.charge(Stats{Retries: 1, BackoffSeconds: back})
 		p.obsRetries.Inc()
 		p.obsBackoff.Add(back)
 		p.obsRing.Emit(obs.EvReadRetry, int64(pageNo), int64(attempt))
@@ -371,8 +406,7 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 	f.pins = 1
 	f.usage = 1
 	p.table[id] = fi
-	p.stats.Misses++
-	p.stats.BytesRead += int64(p.pageSize)
+	p.charge(Stats{Misses: 1, BytesRead: int64(p.pageSize)})
 	p.obsMisses.Inc()
 	p.obsBytes.Add(int64(p.pageSize))
 	return f.page, nil

@@ -391,6 +391,40 @@ func newBenchRunner(t *testing.T, workers, channels int, noCache bool) (*epochRu
 	return s.newEpochRunner(ae, d.Rel, be), be
 }
 
+// TestColdTrainsReportTheirOwnIO: identical cold Trains on one engine
+// report identical pool counters and simulated seconds. Each run is
+// charged the I/O it did, not the pool's running total, so the fourth
+// cold query costs what the first did.
+func TestColdTrainsReportTheirOwnIO(t *testing.T) {
+	s, udf, table := ftSystem(t)
+	var first *TrainResult
+	for i := 0; i < 4; i++ {
+		if err := s.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Train(udf, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Pool.Misses == 0 || res.Pool.IOSeconds <= 0 {
+			t.Fatalf("cold run %d read nothing from disk: %+v", i, res.Pool)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if res.Pool != first.Pool {
+			t.Errorf("cold run %d pool %+v, first run %+v", i, res.Pool, first.Pool)
+		}
+		if math.Float64bits(res.SimulatedSeconds) != math.Float64bits(first.SimulatedSeconds) {
+			t.Errorf("cold run %d simulated %v s, first run %v s", i, res.SimulatedSeconds, first.SimulatedSeconds)
+		}
+	}
+	if total := s.Pool().Stats(); total.Misses != 4*first.Pool.Misses {
+		t.Errorf("pool running total %d misses, want 4 runs × %d", total.Misses, first.Pool.Misses)
+	}
+}
+
 // TestHotPathsAllocationFree is the runtime counterpart of the hotalloc
 // analyzer: after warm-up (arenas sized, buffers grown, pool hot), a
 // steady-state epoch must allocate O(1) — never per page or per tuple.

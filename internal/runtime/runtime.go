@@ -359,13 +359,16 @@ type TrainResult struct {
 
 	Engine engine.Stats
 	Access accessengine.Stats
+	// Pool holds this run's buffer-pool counters (Pool.Meter), not the
+	// pool's running totals.
 	Pool   bufpool.Stats
 	Design hwgen.Design
 
-	// SimulatedSeconds is the modeled time for the run: for the
-	// accelerator pipeline, engine/strider/transfer overlapped at the
-	// FPGA clock plus I/O (from the run's actual counters); for other
-	// backends, the analytic cost-model estimate.
+	// SimulatedSeconds is the modeled time for the run, priced by the
+	// backend that ran it (Backend.PriceRun): for the streaming
+	// pipelines, engine/strider/transfer overlapped at the FPGA clock
+	// plus this run's pool I/O; for other backends, the analytic
+	// cost-model estimate.
 	SimulatedSeconds float64
 
 	// Degraded reports that the backend faulted mid-train and the
@@ -517,6 +520,7 @@ func (s *System) Train(udfName, table string) (*TrainResult, error) {
 
 	res := &TrainResult{UDF: udfName, Table: table, Design: acc.Design, Backend: reg.Name}
 	trainStart := time.Now()
+	s.DB.Pool.StartMeter()
 	s.obsTrainRuns.Inc()
 	s.obs.Trace(obs.EvTrainStart, int64(job.Epochs), int64(rel.NumPages()))
 
@@ -562,7 +566,7 @@ func (s *System) Train(udfName, table string) (*TrainResult, error) {
 	if ae != nil {
 		res.Access = ae.Stats()
 	}
-	res.Pool = s.DB.Pool.Stats()
+	res.Pool = s.DB.Pool.Meter()
 	res.SimulatedSeconds, err = be.PriceRun(job, backend.Run{Access: res.Access, IOSeconds: res.Pool.IOSeconds})
 	if err != nil {
 		return nil, err
