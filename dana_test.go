@@ -1,6 +1,7 @@
 package dana
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -215,5 +216,53 @@ al.setEpochs(2)
 	src := RenderUDF(a)
 	if _, err := ParseUDF(src); err != nil {
 		t.Fatalf("rendered UDF does not re-parse: %v\n%s", err, src)
+	}
+}
+
+// TestTrainAfterInsertSeesNewRows: a Train caches a small table's
+// partly filled last page, an INSERT appends rows to that page, and the
+// next Train must consume them. The pool refreshes its copy in memory,
+// so the second Train reads every page as a hit and charges no I/O.
+func TestTrainAfterInsertSeesNewRows(t *testing.T) {
+	eng, err := Open(Config{PageSize: 8 << 10, PoolBytes: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := eng.LoadWorkload("Remote Sensing LR", 0.0002, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := d.DSLAlgo(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetEpochs(1)
+	if err := eng.RegisterUDF(a, 64); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := eng.Catalog().Table(d.Rel.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := rel.NumPages()
+	vals := strings.TrimSuffix(strings.Repeat("0.5, ", rel.Schema.NumCols()), ", ")
+	if _, err := eng.SQL(fmt.Sprintf("INSERT INTO %s VALUES (%s), (%s)", rel.Name, vals, vals)); err != nil {
+		t.Fatal(err)
+	}
+	if rel.NumPages() != pages {
+		t.Fatalf("INSERT opened a new page (%d -> %d); the rows must land on the cached one", pages, rel.NumPages())
+	}
+	res, err := eng.Train(a.Name, rel.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(res.Epochs) * int64(rel.NumTuples()); res.Engine.Tuples != want {
+		t.Errorf("Train after INSERT consumed %d tuples, want %d epochs × %d rows", res.Engine.Tuples, res.Epochs, rel.NumTuples())
+	}
+	if res.Pool.Misses != 0 || res.Pool.IOSeconds != 0 || res.Pool.Hits != int64(pages) {
+		t.Errorf("Train after INSERT pool %+v, want %d hits and no I/O", res.Pool, pages)
 	}
 }

@@ -95,6 +95,7 @@ func (s Stats) HitRatio() float64 {
 type frame struct {
 	id    PageID
 	page  storage.Page
+	gen   uint64 // the relation's Generation when page was copied in
 	pins  int
 	usage uint8 // clock-sweep usage count (capped at 5, like PostgreSQL)
 	valid bool
@@ -316,6 +317,9 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 	id := PageID{Rel: rel, Page: pageNo}
 	if fi, ok := p.table[id]; ok {
 		f := &p.frames[fi]
+		if err := p.refreshLocked(f); err != nil {
+			return nil, err
+		}
 		f.pins++
 		if f.usage < 5 {
 			f.usage++
@@ -352,6 +356,7 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 		retries = 0
 	}
 	verify := p.VerifyChecksums || p.faults != nil
+	f.gen = r.Generation()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		lastErr = nil
@@ -410,6 +415,33 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 	p.obsMisses.Inc()
 	p.obsBytes.Add(int64(p.pageSize))
 	return f.page, nil
+}
+
+// refreshLocked brings a cached, unpinned frame up to date with the
+// heap. Every heap writer (Insert, InsertBatch, Delete, Vacuum) advances
+// the relation's Generation, so a frame copied at an older generation
+// is re-copied from the heap. Like a PostgreSQL INSERT dirtying the
+// shared buffer, the write happened in memory: the access stays a hit
+// and charges no modeled I/O, and the pool's InvalidationCount (which
+// keys the runtime's record caches) is left alone. A pinned frame keeps
+// the copy its holders are reading; the refresh waits for the next Pin
+// after they release it.
+func (p *Pool) refreshLocked(f *frame) error {
+	r, ok := p.rels[f.id.Rel]
+	if !ok || f.pins > 0 {
+		return nil
+	}
+	g := r.Generation()
+	if g == f.gen {
+		return nil
+	}
+	src, err := r.Page(int(f.id.Page))
+	if err != nil {
+		return err
+	}
+	copy(f.page, src)
+	f.gen = g
+	return nil
 }
 
 // evictLocked runs the clock sweep and returns a usable frame index.

@@ -347,3 +347,58 @@ func TestInvalidateRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPinRefreshesAfterHeapWrites: every heap writer leaves the cached
+// frame matching the heap on the next Pin, and the refreshed page is a
+// hit that charges no I/O and no invalidation.
+func TestPinRefreshesAfterHeapWrites(t *testing.T) {
+	row := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	writers := map[string]func(r *storage.Relation) error{
+		"insert":       func(r *storage.Relation) error { _, err := r.Insert(row); return err },
+		"insert-batch": func(r *storage.Relation) error { return r.InsertBatch([][]float64{row, row}) },
+		"delete":       func(r *storage.Relation) error { return r.Delete(storage.TID{Page: 0, Item: 1}) },
+		"vacuum": func(r *storage.Relation) error {
+			if err := r.Delete(storage.TID{Page: 0, Item: 1}); err != nil {
+				return err
+			}
+			return r.Vacuum()
+		},
+	}
+	for name, write := range writers {
+		t.Run(name, func(t *testing.T) {
+			r := testRelation(t, "t", 5) // one partly filled page
+			p := newPool(t, 4, r)
+			pin := func() storage.Page {
+				t.Helper()
+				pg, err := p.Pin("t", 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Unpin("t", 0); err != nil {
+					t.Fatal(err)
+				}
+				return pg
+			}
+			pin()
+			before, invals := p.Stats(), p.InvalidationCount()
+			if err := write(r); err != nil {
+				t.Fatal(err)
+			}
+			got := pin()
+			heap, err := r.Page(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(heap) {
+				t.Fatalf("cached page 0 (%d items) is stale against the heap (%d items)", got.NumItems(), heap.NumItems())
+			}
+			st := p.Stats()
+			if st.Hits != before.Hits+1 || st.Misses != before.Misses || st.IOSeconds != before.IOSeconds {
+				t.Errorf("refresh charged %+v after %+v, want one more hit and no I/O", st, before)
+			}
+			if p.InvalidationCount() != invals {
+				t.Error("refresh bumped the pool's invalidation count")
+			}
+		})
+	}
+}
