@@ -49,7 +49,13 @@ func (b *Accel) Capabilities() Capabilities {
 // static cycle estimate at the design's thread count, pipelined against
 // Strider unpacking and link transfer.
 func (b *Accel) EstimateCost(job Job) (Cost, error) {
-	if err := Admit(b.Capabilities(), job); err != nil {
+	return b.estimate(job, b.Capabilities(), func(*cost.Workload) {})
+}
+
+// estimate admits job under caps and prices it as cost.DAnA after link
+// adjusts the workload's link and Strider terms (Weave's woven stream).
+func (b *Accel) estimate(job Job, caps Capabilities, link func(*cost.Workload)) (Cost, error) {
+	if err := Admit(caps, job); err != nil {
 		return Cost{}, err
 	}
 	w := job.Workload()
@@ -57,38 +63,36 @@ func (b *Accel) EstimateCost(job Job) (Cost, error) {
 		est := job.Engine.Estimate(job.Design.Engine)
 		w.EpochCycles = est.EpochCycles(job.Tuples, max1(job.MergeCoef), job.Design.Engine.Threads)
 	}
+	link(&w)
 	bd := cost.DAnA(w, b.env.Cost, job.Warm)
 	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
 }
 
 // PriceRun prices the executed run as the paper's pipeline (§5.1.1):
-// engine, Striders and link transfer overlap at the FPGA clock, so the
-// slowest of the three bounds the run, and disk I/O plus the fixed setup
-// add on top. The link carries the heap pages the run actually
-// streamed, cached replays included, as one interleaved sequence.
+// the slowest of engine, Striders and link bounds it, and disk I/O and
+// setup add on top. The link carries the heap pages the run streamed,
+// cached replays included.
 func (b *Accel) PriceRun(job Job, run Run) (float64, error) {
-	if err := Admit(b.Capabilities(), job); err != nil {
-		return 0, err
-	}
-	return b.pipelineSeconds(cost.Workload{
+	return b.priceRun(job, run, b.Capabilities(), cost.Workload{
 		DatasetBytes: run.Access.Pages * int64(job.PageSize),
 		Pages:        int(run.Access.Pages),
-	}, run), nil
+	})
 }
 
-// pipelineSeconds is the overlapped pipeline time of a run whose link
-// carried transfer (Weave ships its own byte stream). Transfer is
-// charged through the channel model (max-over-channels of the
-// round-robin page shares); the zero-value Cost.Link reproduces the
-// legacy scalar PCIe×scale charge exactly.
-func (b *Accel) pipelineSeconds(transfer cost.Workload, run Run) float64 {
+// priceRun admits job under caps and prices a run whose link carried
+// transfer (Weave ships its own bytes), charged through the channel
+// model.
+func (b *Accel) priceRun(job Job, run Run, caps Capabilities, transfer cost.Workload) (float64, error) {
+	if err := Admit(caps, job); err != nil {
+		return 0, err
+	}
 	clock := b.env.FPGA.ClockHz
 	cp := b.env.Cost
 	if cp.BandwidthScale == 0 {
 		cp.BandwidthScale = 1
 	}
 	pipe := max(float64(b.Counters().Cycles)/clock, float64(run.Access.Cycles)/clock, cost.TransferSec(transfer, cp))
-	return pipe + run.IOSeconds + b.env.Cost.SetupSec
+	return pipe + run.IOSeconds + b.env.Cost.SetupSec, nil
 }
 
 // Configure builds the engine machine for the program, applies the

@@ -222,11 +222,9 @@ type Cost struct {
 	Breakdown cost.Breakdown
 }
 
-// Run is what only the integration layer observed of one executed
-// training run: the access-engine stats of the pages it streamed (zero
-// for runs over materialized rows) and the run's own simulated
-// buffer-pool I/O time. PriceRun combines it with the backend's own
-// counters.
+// Run is what only the integration layer observed of one executed run:
+// the access-engine stats of the pages streamed (zero over materialized
+// rows) and the run's own simulated buffer-pool I/O time.
 type Run struct {
 	Access    accessengine.Stats
 	IOSeconds float64
@@ -292,10 +290,8 @@ type Backend interface {
 	// unsupported jobs fail with ErrUnsupported.
 	EstimateCost(job Job) (Cost, error)
 	// PriceRun returns the modeled seconds of the run this instance just
-	// executed for job. Streaming backends integrate their own counters
-	// with the run's page stream and pool I/O; backends with no modeled
-	// page stream report EstimateCost(job).Seconds. Unsupported jobs fail
-	// with ErrUnsupported.
+	// executed for job: streaming backends combine their counters with
+	// run, the others report EstimateCost(job).Seconds.
 	PriceRun(job Job, run Run) (float64, error)
 	// Configure prepares the backend for one training job; unsupported
 	// programs fail with ErrUnsupported.

@@ -378,12 +378,10 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 	return vs
 }
 
-// checkPrice holds the trained instance be to its PriceRun contract on
-// a fixed run (one heap pass, some pool I/O). A streaming backend prices
-// from its own counters, so a fresh instance trained the same way must
-// quote the run bit for bit — state leaking across runs (a running
-// total, a call count) breaks that. A backend without a modeled page
-// stream must quote its analytic estimate exactly.
+// checkPrice holds the trained be to PriceRun's contract on a fixed run:
+// a streaming backend must quote bit for bit what a fresh instance
+// trained alike quotes (no state leaking across runs), any other
+// backend exactly its analytic estimate.
 func checkPrice(reg Registration, env Env, be Backend, p Program, sc Scenario, job Job) error {
 	caps := be.Capabilities()
 	if job.Bits == 0 && caps.MaxBits > 0 {

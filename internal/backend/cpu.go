@@ -46,8 +46,7 @@ func (b *CPU) EstimateCost(job Job) (Cost, error) {
 	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
 }
 
-// PriceRun reports the analytic estimate: the interpreter has no
-// modeled page stream to integrate.
+// PriceRun reports the estimate: the interpreter streams no pages.
 func (b *CPU) PriceRun(job Job, _ Run) (float64, error) {
 	c, err := b.EstimateCost(job)
 	return c.Seconds, err

@@ -305,9 +305,9 @@ func TestDispatcherFailover(t *testing.T) {
 // mustCaps returns the named backend's capability declaration without
 // dispatch admissibility checks.
 func mustCaps(disp *backend.Dispatcher, name string) backend.Capabilities {
-	for _, reg := range disp.Registrations() {
-		if reg.Name == name {
-			return reg.New(backend.ConformanceEnv()).Capabilities()
+	for _, q := range disp.Quotes(backend.Job{}) {
+		if q.Reg.Name == name {
+			return q.Backend.Capabilities()
 		}
 	}
 	panic("unregistered backend " + name)

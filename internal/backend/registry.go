@@ -107,11 +107,6 @@ func (d *Dispatcher) Names() []string {
 	return out
 }
 
-// Registrations returns the registration snapshot (sorted by name).
-func (d *Dispatcher) Registrations() []Registration {
-	return append([]Registration(nil), d.regs...)
-}
-
 func (d *Dispatcher) lookup(name string) (Registration, bool) {
 	for _, r := range d.regs {
 		if r.Name == name {
@@ -121,14 +116,11 @@ func (d *Dispatcher) lookup(name string) (Registration, bool) {
 	return Registration{}, false
 }
 
-// Admit returns nil when the backend's capabilities cover the job's
-// class, precision, and requested weave-bit window, and the typed
-// ErrUnsupported rejection otherwise. The bits check is two-sided: a
-// full-width backend (MaxBits == 0) cannot honor a k-bit weave request,
-// and a weave backend only serves jobs that ask for weave extraction —
-// a Bits == 0 job wants the float path and must not be silently
-// rerouted through quantization, however cheap the rewoven stream
-// prices.
+// Admit rejects, typed ErrUnsupported, a job outside the capabilities'
+// class, precision or weave-bit window. The bits check is two-sided: a
+// full-width backend (MaxBits == 0) cannot honor a k-bit request, and a
+// weave backend serves only k-bit requests — a Bits == 0 job wants the
+// float path, however cheap the rewoven stream prices.
 func Admit(caps Capabilities, job Job) error {
 	bitsOK := job.Bits == 0
 	if caps.MaxBits != 0 {
@@ -156,16 +148,13 @@ func (d *Dispatcher) New(name string, job Job) (Backend, Registration, error) {
 	return be, reg, nil
 }
 
-// Quote is one registered backend's price for a job.
+// Quote is one registered backend's unconfigured instance and price
+// for a job, or its typed rejection (Err).
 type Quote struct {
-	Reg Registration
-	// Backend is the priced instance; Pick and Failover hand it out
-	// unconfigured.
+	Reg     Registration
 	Backend Backend
 	Cost    Cost
-	// Err is the typed rejection of a backend that cannot run the job
-	// (nil = admissible and priced).
-	Err error
+	Err     error
 }
 
 // Quotes builds every registered backend and prices the job on the
@@ -184,19 +173,14 @@ func (d *Dispatcher) Quotes(job Job) []Quote {
 }
 
 // cheapest returns the lowest-priced admissible quote that keep accepts,
-// ties broken by name order.
-func (d *Dispatcher) cheapest(job Job, keep func(Quote) bool) (Quote, bool) {
-	var best Quote
-	found := false
+// ties broken by name order (a zero Quote when there is none).
+func (d *Dispatcher) cheapest(job Job, keep func(Quote) bool) (best Quote) {
 	for _, q := range d.Quotes(job) {
-		if q.Err != nil || !keep(q) {
-			continue
-		}
-		if !found || q.Cost.Seconds < best.Cost.Seconds {
-			best, found = q, true
+		if q.Err == nil && keep(q) && (best.Backend == nil || q.Cost.Seconds < best.Cost.Seconds) {
+			best = q
 		}
 	}
-	return best, found
+	return best
 }
 
 // Pick is the heterogeneous dispatch policy, documented and
@@ -212,8 +196,8 @@ func (d *Dispatcher) cheapest(job Job, keep func(Quote) bool) (Quote, bool) {
 //
 // No admissible backend is ErrUnsupported.
 func (d *Dispatcher) Pick(job Job) (Backend, Registration, Cost, error) {
-	q, ok := d.cheapest(job, func(Quote) bool { return true })
-	if !ok {
+	q := d.cheapest(job, func(Quote) bool { return true })
+	if q.Backend == nil {
 		return nil, Registration{}, Cost{}, fmt.Errorf("%w: no backend for class=%s precision=%q",
 			ErrUnsupported, job.Class, job.Precision)
 	}
@@ -226,10 +210,10 @@ func (d *Dispatcher) Pick(job Job) (Backend, Registration, Cost, error) {
 // cheapest by modeled cost, ties by name. The failed backend is
 // excluded even if it declares Fallback.
 func (d *Dispatcher) Failover(job Job, failed string) (Backend, Registration, error) {
-	q, ok := d.cheapest(job, func(q Quote) bool {
+	q := d.cheapest(job, func(q Quote) bool {
 		return q.Reg.Name != failed && q.Backend.Capabilities().Fallback
 	})
-	if !ok {
+	if q.Backend == nil {
 		return nil, Registration{}, fmt.Errorf("%w: after %q faulted on class=%s", ErrNoFailover, failed, job.Class)
 	}
 	return q.Backend, q.Reg, nil

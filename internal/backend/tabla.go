@@ -66,8 +66,8 @@ func (b *Tabla) EstimateCost(job Job) (Cost, error) {
 	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
 }
 
-// PriceRun reports the analytic estimate: TABLA has no modeled page
-// stream to integrate. It overrides the method promoted from Accel.
+// PriceRun reports the estimate, overriding the promoted Accel method:
+// TABLA streams no pages.
 func (b *Tabla) PriceRun(job Job, _ Run) (float64, error) {
 	c, err := b.EstimateCost(job)
 	return c.Seconds, err

@@ -64,8 +64,7 @@ func jobBits(bits int) int {
 	return bits
 }
 
-// weaveGeometry returns the job's feature count and the exact weave-page
-// geometry of its relation, shared by the estimate and the run price.
+// weaveGeometry returns the job's feature count and weave-page geometry.
 func weaveGeometry(job Job) (int, weaving.Geometry) {
 	nfeat := max(job.Columns-1, 1)
 	pageSize := job.PageSize
@@ -80,41 +79,27 @@ func weaveGeometry(job Job) (int, weaving.Geometry) {
 // exact page geometry, and the Strider unpack cycles replaced by the
 // k-bit plane-gather model.
 func (b *Weave) EstimateCost(job Job) (Cost, error) {
-	if err := Admit(b.Capabilities(), job); err != nil {
-		return Cost{}, err
-	}
-	w := job.Workload()
-	if job.Engine != nil {
-		est := job.Engine.Estimate(job.Design.Engine)
-		w.EpochCycles = est.EpochCycles(job.Tuples, max1(job.MergeCoef), job.Design.Engine.Threads)
-	}
-	nfeat, g := weaveGeometry(job)
-	w.WeaveBits, w.WeaveFixedBytes, w.WeaveBitBytes, w.Pages = jobBits(job.Bits), g.FixedBytes, g.BitBytes, g.Pages
-	w.StriderPageCycles = weaving.PageDecodeCycles(nfeat, g.PageRows, w.WeaveBits)
-	bd := cost.DAnA(w, b.inner.env.Cost, job.Warm)
-	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
+	return b.inner.estimate(job, b.Capabilities(), func(w *cost.Workload) {
+		nfeat, g := weaveGeometry(job)
+		w.WeaveBits, w.WeaveFixedBytes, w.WeaveBitBytes, w.Pages = jobBits(job.Bits), g.FixedBytes, g.BitBytes, g.Pages
+		w.StriderPageCycles = weaving.PageDecodeCycles(nfeat, g.PageRows, w.WeaveBits)
+	})
 }
 
-// PriceRun prices the executed run like the accelerator pipeline, with
-// the link charged for the vertical layout instead of heap pages: per
-// extraction pass, FixedBytes + k×BitBytes of the relation's weave-page
-// geometry. The pass count comes from the run's actual page stream, so
-// retries and cached replays charge the same number of passes either
-// way.
+// PriceRun prices the run like the accelerator, with the link charged
+// FixedBytes + k×BitBytes of the weave geometry per extraction pass; the
+// pass count comes from the run's page stream, cached replays included.
 func (b *Weave) PriceRun(job Job, run Run) (float64, error) {
-	if err := Admit(b.Capabilities(), job); err != nil {
-		return 0, err
-	}
 	_, g := weaveGeometry(job)
 	heapPages := int64(max1(job.Pages))
 	passes := (run.Access.Pages + heapPages - 1) / heapPages
-	return b.inner.pipelineSeconds(cost.Workload{
+	return b.inner.priceRun(job, run, b.Capabilities(), cost.Workload{
 		DatasetBytes:    run.Access.Pages * int64(job.PageSize),
 		Pages:           int(passes) * g.Pages,
 		WeaveBits:       jobBits(job.Bits),
 		WeaveFixedBytes: passes * g.FixedBytes,
 		WeaveBitBytes:   passes * g.BitBytes,
-	}, run), nil
+	})
 }
 
 // Configure prepares the inner engine machine under the weave

@@ -111,7 +111,7 @@ type Pool struct {
 	rels     map[string]*storage.Relation
 	disk     DiskModel
 	stats    Stats // running totals (zeroed by ResetStats)
-	meter    Stats // charged alongside stats since the last StartMeter
+	meter    Stats // charged alongside stats since the last TakeMeter
 	pageSize int
 	invals   uint64 // bumped by Invalidate/InvalidateRelation
 
@@ -221,21 +221,15 @@ func (p *Pool) Stats() Stats {
 	return p.stats
 }
 
-// StartMeter zeroes the meter: a second set of counters, charged
-// alongside the running totals and read back by Meter. The runtime
-// meters each Train, so a run reports its own I/O and not the pool's
-// history.
-func (p *Pool) StartMeter() {
+// TakeMeter returns the meter, the counters charged alongside the
+// running totals since the last TakeMeter, and restarts it: the runtime
+// meters each Train to report its own I/O.
+func (p *Pool) TakeMeter() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	m := p.meter
 	p.meter = Stats{}
-}
-
-// Meter returns the counters charged since the last StartMeter.
-func (p *Pool) Meter() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.meter
+	return m
 }
 
 // charge adds d to the running totals and to the meter.
@@ -417,15 +411,11 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 	return f.page, nil
 }
 
-// refreshLocked brings a cached, unpinned frame up to date with the
-// heap. Every heap writer (Insert, InsertBatch, Delete, Vacuum) advances
-// the relation's Generation, so a frame copied at an older generation
-// is re-copied from the heap. Like a PostgreSQL INSERT dirtying the
-// shared buffer, the write happened in memory: the access stays a hit
-// and charges no modeled I/O, and the pool's InvalidationCount (which
-// keys the runtime's record caches) is left alone. A pinned frame keeps
-// the copy its holders are reading; the refresh waits for the next Pin
-// after they release it.
+// refreshLocked re-copies an unpinned frame copied before the latest
+// heap write: every writer advances the relation's Generation. Like an
+// INSERT dirtying a PostgreSQL shared buffer, the access stays a hit
+// with no modeled I/O and no InvalidationCount bump (which keys the
+// record caches). Pinned frames keep the copy their holders read.
 func (p *Pool) refreshLocked(f *frame) error {
 	r, ok := p.rels[f.id.Rel]
 	if !ok || f.pins > 0 {

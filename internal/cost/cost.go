@@ -219,14 +219,7 @@ func MADlibGreenplum(w Workload, p Params, segments int, warm bool) Breakdown {
 // overlapped (§7.1).
 func DAnA(w Workload, p Params, warm bool) Breakdown {
 	w = withDanaEpochs(w)
-	compute := float64(w.Epochs) * float64(w.EpochCycles) / p.FPGAClockHz
-	transfer := danaTransferSec(w, p)
-	striders := w.Striders
-	if striders < 1 {
-		striders = 1
-	}
-	strider := float64(w.Epochs) * float64(w.Pages) * float64(w.StriderPageCycles) /
-		(float64(striders) * p.FPGAClockHz)
+	compute, transfer, strider := danaTerms(w, p)
 	pipeline := math.Max(compute, math.Max(transfer, strider))
 	b := Breakdown{
 		IOSec:       ioSec(w, p, warm),
@@ -243,16 +236,18 @@ func DAnA(w Workload, p Params, warm bool) Breakdown {
 // transfer, strider overlap) without disk I/O or setup — the "FPGA
 // time" Figure 14 sweeps against link bandwidth.
 func DAnAPipelineSec(w Workload, p Params) float64 {
-	w = withDanaEpochs(w)
-	compute := float64(w.Epochs) * float64(w.EpochCycles) / p.FPGAClockHz
-	transfer := danaTransferSec(w, p)
-	striders := w.Striders
-	if striders < 1 {
-		striders = 1
-	}
-	strider := float64(w.Epochs) * float64(w.Pages) * float64(w.StriderPageCycles) /
-		(float64(striders) * p.FPGAClockHz)
+	compute, transfer, strider := danaTerms(withDanaEpochs(w), p)
 	return math.Max(compute, math.Max(transfer, strider))
+}
+
+// danaTerms returns the three stages the DAnA pipeline overlaps: engine
+// compute, link transfer and Strider unpacking, in seconds.
+func danaTerms(w Workload, p Params) (compute, transfer, strider float64) {
+	compute = float64(w.Epochs) * float64(w.EpochCycles) / p.FPGAClockHz
+	transfer = danaTransferSec(w, p)
+	strider = float64(w.Epochs) * float64(w.Pages) * float64(w.StriderPageCycles) /
+		(float64(max1(w.Striders)) * p.FPGAClockHz)
+	return compute, transfer, strider
 }
 
 // DAnANoStrider models the ablation of Figure 11: the CPU extracts and
@@ -260,10 +255,9 @@ func DAnAPipelineSec(w Workload, p Params) float64 {
 // page-level overlap — extraction serializes with compute.
 func DAnANoStrider(w Workload, p Params, warm bool) Breakdown {
 	w = withDanaEpochs(w)
-	compute := float64(w.Epochs) * float64(w.EpochCycles) / p.FPGAClockHz
+	compute, transfer, _ := danaTerms(w, p)
 	feedPerTuple := p.ExtractFraction * (p.TupleBaseSec + float64(w.Columns)*p.ColumnDeformSec)
 	feed := float64(w.Epochs) * float64(w.Tuples) * feedPerTuple
-	transfer := danaTransferSec(w, p)
 	b := Breakdown{
 		IOSec:       ioSec(w, p, warm),
 		ComputeSec:  compute,
@@ -322,14 +316,7 @@ func ExternalLibrary(lib LibKind, algo string, w Workload, p Params) Breakdown {
 // instead of overlapped (everything else identical to DAnA).
 func DAnANoInterleave(w Workload, p Params, warm bool) Breakdown {
 	w = withDanaEpochs(w)
-	compute := float64(w.Epochs) * float64(w.EpochCycles) / p.FPGAClockHz
-	transfer := danaTransferSec(w, p)
-	striders := w.Striders
-	if striders < 1 {
-		striders = 1
-	}
-	strider := float64(w.Epochs) * float64(w.Pages) * float64(w.StriderPageCycles) /
-		(float64(striders) * p.FPGAClockHz)
+	compute, transfer, strider := danaTerms(w, p)
 	b := Breakdown{
 		IOSec:       ioSec(w, p, warm),
 		ComputeSec:  compute,

@@ -54,12 +54,6 @@ func ServerServiceSec(totalSec float64, p Params) float64 {
 func ScoreServiceSec(w Workload, p Params) float64 {
 	w.Epochs = 1
 	w.DAnAEpochs = 0
-	transfer := danaTransferSec(w, p)
-	striders := w.Striders
-	if striders < 1 {
-		striders = 1
-	}
-	strider := float64(w.Pages) * float64(w.StriderPageCycles) /
-		(float64(striders) * p.FPGAClockHz)
+	_, transfer, strider := danaTerms(w, p)
 	return math.Max(transfer, strider)
 }

@@ -106,8 +106,7 @@ func (b *Sharded) EstimateCost(job backend.Job) (backend.Cost, error) {
 	return backend.Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
 }
 
-// PriceRun reports the analytic estimate: the segments have no modeled
-// page stream to integrate.
+// PriceRun reports the estimate: the segments stream no pages.
 func (b *Sharded) PriceRun(job backend.Job, _ backend.Run) (float64, error) {
 	c, err := b.EstimateCost(job)
 	return c.Seconds, err

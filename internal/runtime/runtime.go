@@ -242,10 +242,6 @@ func New(opts Options) *System {
 	return s
 }
 
-// Dispatcher exposes the system's backend dispatcher (stats CLIs,
-// tests).
-func (s *System) Dispatcher() *backend.Dispatcher { return s.disp }
-
 // Obs returns the system's observability registry (obs.Noop when the
 // system runs dark). Snapshot it for the JSON export, or read counters
 // programmatically via Get.
@@ -359,7 +355,7 @@ type TrainResult struct {
 
 	Engine engine.Stats
 	Access accessengine.Stats
-	// Pool holds this run's buffer-pool counters (Pool.Meter), not the
+	// Pool holds this run's buffer-pool counters (Pool.TakeMeter), not the
 	// pool's running totals.
 	Pool   bufpool.Stats
 	Design hwgen.Design
@@ -494,13 +490,8 @@ func (s *System) Train(udfName, table string) (*TrainResult, error) {
 	}
 	caps := be.Capabilities()
 
-	nStriders := acc.Design.NumStriders
-	if nStriders < 1 {
-		nStriders = 1
-	}
-	if nStriders > 16 {
-		nStriders = 16 // in-process VM instances; cycle model unchanged
-	}
+	// In-process Strider VM instances; the cycle model is unchanged.
+	nStriders := min(max(acc.Design.NumStriders, 1), 16)
 	prog := backend.Program{
 		Graph:     udf.Graph,
 		Engine:    acc.Program,
@@ -520,7 +511,7 @@ func (s *System) Train(udfName, table string) (*TrainResult, error) {
 
 	res := &TrainResult{UDF: udfName, Table: table, Design: acc.Design, Backend: reg.Name}
 	trainStart := time.Now()
-	s.DB.Pool.StartMeter()
+	s.DB.Pool.TakeMeter() // restart: res.Pool reports this run alone
 	s.obsTrainRuns.Inc()
 	s.obs.Trace(obs.EvTrainStart, int64(job.Epochs), int64(rel.NumPages()))
 
@@ -566,7 +557,7 @@ func (s *System) Train(udfName, table string) (*TrainResult, error) {
 	if ae != nil {
 		res.Access = ae.Stats()
 	}
-	res.Pool = s.DB.Pool.Meter()
+	res.Pool = s.DB.Pool.TakeMeter()
 	res.SimulatedSeconds, err = be.PriceRun(job, backend.Run{Access: res.Access, IOSeconds: res.Pool.IOSeconds})
 	if err != nil {
 		return nil, err
@@ -579,12 +570,11 @@ func (s *System) Train(udfName, table string) (*TrainResult, error) {
 type epochFunc func(e int) (cached bool, err error)
 
 // trainLoop is the one epoch loop of every Train path, failover
-// included. It runs body for epochs res.Epochs up to the budget with
-// convergence checks, injects cluster faults before each epoch when
-// accelerated (only backends modeling faultable accelerator hardware are
-// subject to them), and records each epoch's bookkeeping: counters,
-// wall time, histogram and trace. The first failing epoch's error is
-// returned with res.Epochs left at that epoch.
+// included: it runs body from epoch res.Epochs up to the budget with
+// convergence checks, injects cluster faults first when accelerated
+// (only faultable accelerator hardware takes them), and records each
+// epoch's counter, wall time, histogram and trace event. On error,
+// res.Epochs is the epoch that failed.
 func (s *System) trainLoop(res *TrainResult, epochs int, be backend.Backend, accelerated bool, body epochFunc) error {
 	for e := res.Epochs; e < epochs; e++ {
 		start := time.Now()
@@ -627,11 +617,10 @@ func (s *System) trainLoop(res *TrainResult, epochs int, be backend.Backend, acc
 	return nil
 }
 
-// rowsEpoch materializes the relation once and returns the epoch body
-// that feeds it to be: the path of backends without page walkers, and
-// of failover, which must bypass the faulted Striders. Every value is
-// narrowed through float32 — the Strider datapath width — so these
-// backends still see the exact values extraction would deliver.
+// rowsEpoch materializes the relation once, every value narrowed
+// through float32 (the Strider datapath width), and returns the epoch
+// body feeding it to be: the path of backends without page walkers, and
+// of failover, which must bypass the faulted Striders.
 func (s *System) rowsEpoch(rel *storage.Relation, be backend.Backend) (epochFunc, error) {
 	st := &backend.Stream{}
 	err := rel.Scan(func(_ storage.TID, vals []float64) error {
@@ -651,17 +640,13 @@ func (s *System) rowsEpoch(rel *storage.Relation, be backend.Backend) (epochFunc
 	return func(int) (bool, error) { return false, be.RunEpoch(st) }, nil
 }
 
-// failover completes a degraded training run on the dispatcher's
-// failover target — among backends declaring Capabilities.Fallback, the
-// cheapest admissible one that is not the faulted backend (the golden
-// float64 CPU trainer in the default registry). It picks up the faulted
-// backend's epoch-start model, re-reads the tuples from the heap
-// (narrowed through float32, matching the Strider datapath), and runs
-// the remaining epoch budget through the same loop, with no injected
-// cluster faults. The downgrade is surfaced via the runtime.failovers
-// counter (plus the historical runtime.cpu_fallbacks when the target is
-// the CPU backend) and trace events — never a panic, never a silent
-// wrong model.
+// failover completes a degraded run on the dispatcher's failover
+// target (the cheapest admissible Fallback backend other than the
+// faulted one: the golden float64 CPU trainer by default). It resumes
+// from the faulted backend's epoch-start model over rows re-read from
+// the heap, through the same epoch loop with no injected cluster
+// faults, and surfaces the downgrade in runtime.failovers (plus
+// runtime.cpu_fallbacks for the CPU) and trace events.
 func (s *System) failover(res *TrainResult, job backend.Job, prog backend.Program, failed backend.Backend, failedName string, rel *storage.Relation) error {
 	// Degradation drops any reduced read precision: fallback targets are
 	// full-width reference trainers, and a k-bit request was a bandwidth
